@@ -26,7 +26,10 @@
 #define PERFBENCH_COMPILER "unknown"
 #endif
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// CMakeLists.txt defines PERFBENCH_SANITIZED when the flags name a
+// sanitizer; the compilers' own markers catch the rest.
+#ifdef PERFBENCH_SANITIZED
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PERFBENCH_SANITIZED 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \

@@ -1,5 +1,6 @@
 // Samples, the metric report, the metric name lists, and the Ackley runner.
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -23,20 +24,6 @@ double Samples::quantile(double q) const {
   std::size_t rank = static_cast<std::size_t>(std::ceil(q * n));
   if (rank == 0) rank = 1;
   return values_[std::min(rank, values_.size()) - 1];
-}
-
-double SlicedSamples::quantile(double q) const {
-  Samples per_slice;
-  for (const Samples& s : slices_) {
-    if (s.size() > 0) per_slice.add(s.quantile(q));
-  }
-  return per_slice.quantile(0.5);
-}
-
-std::size_t SlicedSamples::size() const {
-  std::size_t n = 0;
-  for (const Samples& s : slices_) n += s.size();
-  return n;
 }
 
 void Report::set(const std::string& name, double value, const std::string& unit,
@@ -127,6 +114,7 @@ const std::vector<std::pair<std::string, std::string>>& per_layer_metrics() {
       {"shard.self_us_per_task", "us"},
       {"repl.self_us_per_task", "us"},
       {"pool.self_us_per_task", "us"},
+      {"mem.rss_growth_kb_per_task", "kB"},
       {"trace.overhead_pct", "%"},
   };
   return names;
@@ -165,6 +153,16 @@ double peak_rss_mb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
+double rss_mb() {
+  long pages = 0, resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (!f) return 0.0;
+  const bool ok = std::fscanf(f, "%ld %ld", &pages, &resident) == 2;
+  std::fclose(f);
+  return ok ? static_cast<double>(resident) * sysconf(_SC_PAGESIZE) / (1024.0 * 1024.0)
+            : 0.0;
 }
 
 }  // namespace perfbench

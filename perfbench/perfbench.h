@@ -48,21 +48,6 @@ class Samples {
   mutable bool sorted_ = true;
 };
 
-/// Samples split over equal time slices of the timed window. A statistic is
-/// the median over the non-empty slices of the per-slice statistic, so a
-/// burst of outside load during one slice moves it little.
-class SlicedSamples {
- public:
-  static constexpr int kSlices = 5;
-
-  void add(int slice, double seconds) { slices_[slice].add(seconds); }
-  double quantile(double q) const;
-  std::size_t size() const;
-
- private:
-  Samples slices_[kSlices];
-};
-
 /// One printed metric: value, unit, and the sample count behind a timing
 /// (0 for counts and ratios).
 struct Metric {
@@ -80,13 +65,11 @@ class Report {
   void set(const std::string& name, double value, const std::string& unit,
            std::size_t samples = 0);
   /// A timing metric in milliseconds (microseconds) from second-valued
-  /// Samples or SlicedSamples.
-  template <typename S>
-  void set_ms(const std::string& name, const S& s, double q) {
+  /// Samples.
+  void set_ms(const std::string& name, const Samples& s, double q) {
     set(name, s.quantile(q) * 1e3, "ms", s.size());
   }
-  template <typename S>
-  void set_us(const std::string& name, const S& s, double q) {
+  void set_us(const std::string& name, const Samples& s, double q) {
     set(name, s.quantile(q) * 1e6, "us", s.size());
   }
 
@@ -287,7 +270,10 @@ std::string make_payload(const Sample& s);
 std::string runner_result(const std::string& payload);
 std::string expected_result(const Sample& s);
 
-/// Peak resident set size of this process, in MB.
+/// Peak resident set size of this process so far, in MB.
 double peak_rss_mb();
+
+/// Current resident set size of this process, in MB.
+double rss_mb();
 
 }  // namespace perfbench

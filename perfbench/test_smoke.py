@@ -24,6 +24,14 @@ import run  # noqa: E402  (the benchmark's own launcher)
 with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     SPEC = json.load(f)
 
+# Timings of a step only one workload takes, and that workload.
+OWN_STEPS = {
+    "reprioritize_p50_ms": "campaign_threads",
+    "eqsql.update_priority_ms.p50": "campaign_threads",
+    "lookup_p50_ms": "durable_lsm",
+    "lookup_p99_ms": "durable_lsm",
+}
+
 
 def invoke(workload, trace, *extra):
     """Run the driver at tiny size; returns (metadata, result) objects."""
@@ -74,6 +82,14 @@ class SmokeTest(unittest.TestCase):
                 _, result = invoke(w["name"], 1)
                 self.check_metrics(result, SPEC["per_layer"])
                 self.assertTrue(result["correct"])
+                # A step's timing is measured on the workload that takes the
+                # step, and reads 0 on every other one.
+                for name, owner in OWN_STEPS.items():
+                    value = result["metrics"][name]["value"]
+                    if w["name"] == owner:
+                        self.assertGreater(value, 0, name)
+                    else:
+                        self.assertEqual(value, 0, name)
 
     def test_wrong_runner_result_is_a_failure(self):
         for w in SPEC["workloads"]:

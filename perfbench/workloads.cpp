@@ -10,12 +10,9 @@
 //   3. the checks that feed `failed`, outside the window;
 //   4. recovery of the deployment's durable image, repeated kRecoveryReps
 //      times (recovery_s is the median).
-// Every workload reports every end-to-end metric. Besides its own cycle,
-// each client reprioritizes still-queued tasks with a seeded permutation of
-// ranks every `audit_every` completions, as the paper's ME does when it
-// refits its model, and reads back one random earlier task record every
-// `lookup_every` completions. That is where reprioritize_p50_ms and
-// lookup_*_ms come from on the workloads whose cycle has no such step.
+// Each workload runs only the steps of its own deployment: reprioritization
+// is campaign_threads', task-record reads are durable_lsm's. A timing of a
+// step the workload does not take reads 0, as an absent layer does.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -63,13 +60,12 @@ struct Sizes {
   int checkpoint_every;  // durable_lsm tasks between durable checkpoints
   int recovery_tail_cycles;  // durable_lsm batch cycles logged after the last checkpoint
   int backlog;           // sharded_tenants queued tasks per tenant per shard
-  int audit_every;       // completions between reprioritizations
-  int lookup_every;      // completions between task-record reads
+  int audit_every;       // campaign_threads completions between reprioritizations
 };
 
 Sizes sizes_for(const Options& o) {
-  if (o.tiny) return Sizes{300, 200, 50, 200, 100, 4, 20, 25, 4};
-  return Sizes{20000, 250, 250, 5000, 2000, 64, 500, 250, 16};
+  if (o.tiny) return Sizes{300, 200, 50, 200, 100, 4, 20, 25};
+  return Sizes{20000, 250, 250, 5000, 2000, 64, 500, 250};
 }
 
 // --- inputs ------------------------------------------------------------------
@@ -175,45 +171,33 @@ class Runner {
 
 // --- measurements shared by every workload ----------------------------------
 
-/// End-to-end measurements. Window timings and completions are bucketed by
-/// the time slice they finished in (see SlicedSamples).
+/// End-to-end measurements. Rates and percentiles are taken over the whole
+/// window: a median of per-slice values moved two to three times as much
+/// from run to run.
 struct Measured {
-  static constexpr int kSlices = SlicedSamples::kSlices;
-
-  Samples setup, recovery;
-  SlicedSamples cycle, lag, reprioritize, lookup;
-  std::uint64_t slice_tasks[kSlices] = {};
+  Samples setup, recovery, cycle, lag, reprioritize, lookup;
   std::uint64_t tasks = 0;
   double t_start = 0.0;
-  double planned_s = 0.0;  // requested window length
-  double window_s = 0.0;   // actual: the last cycle ends after the deadline
+  double window_s = 0.0;  // the last cycle ends after the deadline
   double write_amp = 0.0;
+  // Peak RSS through set-up: the deployment at its fixed size. The window's
+  // history grows with throughput, so a peak taken after it would rise
+  // with every speed-up.
+  double setup_peak_rss_mb = 0.0;
+  double window_rss_mb[2] = {};  // resident set at window start and end
 
   /// Open the timed window; returns its deadline.
   double start(double seconds) {
+    window_rss_mb[0] = rss_mb();
     t_start = now_s();
-    planned_s = seconds;
     return t_start + seconds;
   }
-  void stop() { window_s = now_s() - t_start; }
-  int slice(double t) const {
-    const int s = static_cast<int>((t - t_start) / (planned_s / kSlices));
-    return std::clamp(s, 0, kSlices - 1);
+  void stop() {
+    window_s = now_s() - t_start;
+    window_rss_mb[1] = rss_mb();
   }
-  void completed(double t, std::uint64_t n = 1) {
-    tasks += n;
-    slice_tasks[slice(t)] += n;
-  }
-  /// Median over slices of completions per second.
-  double tasks_per_s() const {
-    Samples rates;
-    const double width = planned_s / kSlices;
-    for (int s = 0; s < kSlices; ++s) {
-      const double length = s + 1 < kSlices ? width : window_s - width * s;
-      if (length > 0) rates.add(static_cast<double>(slice_tasks[s]) / length);
-    }
-    return rates.quantile(0.5);
-  }
+  void completed() { ++tasks; }
+  double tasks_per_s() const { return window_s > 0 ? tasks / window_s : 0.0; }
 };
 
 template <typename Deployment>
@@ -226,6 +210,7 @@ std::unique_ptr<Deployment> repeated_setup(
     dep = build();
     m.setup.add(now_s() - t0);
   }
+  m.setup_peak_rss_mb = peak_rss_mb();
   return dep;
 }
 
@@ -242,7 +227,11 @@ void report_end_to_end(Report& report, const Measured& m) {
   report.set_ms("lookup_p99_ms", m.lookup, 0.99);
   report.set("recovery_s", m.recovery.quantile(0.5), "s", m.recovery.size());
   report.set("write_amp", m.write_amp, "ratio");
-  report.set("peak_rss_mb", peak_rss_mb(), "MB");
+  report.set("peak_rss_mb", m.setup_peak_rss_mb, "MB");
+  report.set("mem.rss_growth_kb_per_task",
+             std::max(0.0, m.window_rss_mb[1] - m.window_rss_mb[0]) * 1024.0 /
+                 static_cast<double>(std::max<std::uint64_t>(m.tasks, 1)),
+             "kB");
   if (m.tasks == 0) report.fail("no task completed in the window");
 }
 
@@ -413,7 +402,7 @@ void read_records(int count, Inputs& inputs, const Ledger& ledger, Measured& m,
       return lookup(id);
     }();
     const double t1 = now_s();
-    m.lookup.add(m.slice(t1), t1 - t0);
+    m.lookup.add(t1 - t0);
     verify_record(record, id, ledger, report);
   }
 }
@@ -496,7 +485,6 @@ Report run_cycle_history(const Options& options) {
   Priority seq = 0;
   while (now_s() < deadline) {
     ScopedSpan cycle_span("client.cycle");
-    const bool audit = m.tasks > 0 && m.tasks % sizes.audit_every == 0;
     const Sample sample = inputs.sample();
     const std::string payload = make_payload(sample);
     const double t0 = now_s();
@@ -507,19 +495,6 @@ Report run_cycle_history(const Options& options) {
     report.op(id.ok(), "submit");
     if (!id.ok()) break;
     ledger.submitted(id.value(), sample, payload.size());
-    double audit_s = 0.0;
-    if (audit) {
-      // The only queued task is this cycle's; a one-entry permutation keeps
-      // its place but pays the full reprioritization path.
-      const double ta = now_s();
-      auto n = [&] {
-        ScopedSpan span("eqsql.update_priority", id.value());
-        return api.update_priorities({id.value()}, {-seq});
-      }();
-      audit_s = now_s() - ta;
-      m.reprioritize.add(m.slice(ta), audit_s);
-      report.op(n.ok() && n.value() == 1, "update_priorities");
-    }
     auto claimed = [&] {
       ScopedSpan span("eqsql.claim", id.value());
       return api.try_query_tasks(kType, 1, "client");
@@ -547,13 +522,9 @@ Report run_cycle_history(const Options& options) {
       report.fail("task " + std::to_string(id.value()) + " result mismatch");
     }
     ledger.picked(id.value(), report);
-    m.cycle.add(m.slice(t_end), t_end - t0 - audit_s);
-    m.lag.add(m.slice(t_end), t_end - t_report);
-    m.completed(t_end);
-    if (m.tasks % sizes.lookup_every == 0) {
-      read_records(1, inputs, ledger, m, report,
-                   [&](TaskId t) { return api.task_record(t); });
-    }
+    m.cycle.add(t_end - t0);
+    m.lag.add(t_end - t_report);
+    m.completed();
   }
   m.stop();
   db_layer.finish(report, m.tasks);
@@ -628,7 +599,7 @@ void reprioritize(CampaignDeployment& dep, Inputs& inputs, Measured* m,
     ScopedSpan span("eqsql.update_priority");
     return eqsql::update_priority(dep.futures, inputs.ranks(dep.futures.size()));
   }();
-  if (m) m->reprioritize.add(m->slice(t0), now_s() - t0);
+  if (m) m->reprioritize.add(now_s() - t0);
   report.op(updated.ok(), "update_priority");
 }
 
@@ -657,6 +628,7 @@ void run_me(CampaignDeployment& dep, std::uint64_t pops, double deadline,
     if (!result.ok() || result.value() != dep.ledger.expected(id)) {
       report.fail("task " + std::to_string(id) + " result is not Ackley(payload)");
     }
+    if (result.ok()) dep.ledger.reported(result.value().size());
     dep.ledger.picked(id, report);
     double returned = t_pop;
     {
@@ -665,18 +637,14 @@ void run_me(CampaignDeployment& dep, std::uint64_t pops, double deadline,
       if (it != dep.log.returned_at.end()) returned = it->second;
     }
     if (m) {
-      m->cycle.add(m->slice(t_pop), t_pop - dep.submitted_at[id]);
-      m->lag.add(m->slice(t_pop), t_pop - returned);
-      m->completed(t_pop);
+      m->cycle.add(t_pop - dep.submitted_at[id]);
+      m->lag.add(t_pop - returned);
+      m->completed();
     }
     dep.submitted_at.erase(id);
     if (!submit_samples(dep, 1, outstanding, inputs, report)) break;
     ++dep.completed;
     if (dep.completed % sizes.audit_every == 0) reprioritize(dep, inputs, m, report);
-    if (m && dep.completed % sizes.lookup_every == 0) {
-      read_records(1, inputs, dep.ledger, *m, report,
-                   [&](TaskId t) { return dep.me_api->task_record(t); });
-    }
   }
 }
 
@@ -763,7 +731,9 @@ Report run_campaign_threads(const Options& options) {
     report.op(late.ok(), "late pickup");
     if (late.ok()) {
       for (TaskId id : late.value()) {
-        verify_result(dep->me_api->peek_result(id), id, dep->ledger, report);
+        auto result = dep->me_api->peek_result(id);
+        verify_result(result, id, dep->ledger, report);
+        if (result.ok()) dep->ledger.reported(result.value().size());
         dep->ledger.picked(id, report);
       }
     }
@@ -852,7 +822,6 @@ Report run_durable_lsm(const Options& options) {
   // One batch cycle; `measure` is false for the recovery tail after the
   // window, which only has to leave a known amount of log behind.
   Priority cycle = 0;
-  std::uint64_t next_audit = sizes.audit_every;
   auto run_cycle = [&](bool measure) {
     ScopedSpan cycle_span("client.cycle");
     ++cycle;
@@ -872,18 +841,6 @@ Report run_durable_lsm(const Options& options) {
     if (!ids.ok()) return false;
     for (int i = 0; i < kBatch; ++i) {
       ledger.submitted(ids.value()[i], samples[i], payloads[i].size());
-    }
-    double audit_s = 0.0;
-    if (measure && m.tasks >= next_audit) {
-      next_audit += sizes.audit_every;
-      const double ta = now_s();
-      auto n = [&] {
-        ScopedSpan span("eqsql.update_priority");
-        return api.update_priorities(ids.value(), inputs.ranks(kBatch));
-      }();
-      audit_s = now_s() - ta;
-      m.reprioritize.add(m.slice(ta), audit_s);
-      report.op(n.ok(), "update_priorities");
     }
     auto claimed = [&] {
       ScopedSpan span("eqsql.claim");
@@ -913,10 +870,10 @@ Report run_durable_lsm(const Options& options) {
     for (TaskId id : done.value()) {
       ledger.picked(id, report);
       if (!measure) continue;
-      m.cycle.add(m.slice(t_end), t_end - t0 - audit_s);
+      m.cycle.add(t_end - t0);
       auto it = reported_at.find(id);
-      m.lag.add(m.slice(t_end), t_end - (it == reported_at.end() ? t_end : it->second));
-      m.completed(t_end);
+      m.lag.add(t_end - (it == reported_at.end() ? t_end : it->second));
+      m.completed();
     }
     return true;
   };
@@ -1043,19 +1000,12 @@ struct ShardedDeployment {
   };
   std::unordered_map<TaskId, Owner> owner;
   std::unordered_map<TaskId, double> submitted_at;
-  // Still-queued ids per (tenant, work type): the audit's reprioritization set.
-  std::vector<std::unordered_set<TaskId>> queued =
-      std::vector<std::unordered_set<TaskId>>(kTenantCount * kShards);
   std::uint64_t quota = 0;
   Ledger ledger;
 
   ~ShardedDeployment() {
     router.reset();
     cluster.reset();
-  }
-
-  std::unordered_set<TaskId>& queued_of(int tenant, WorkType type) {
-    return queued[static_cast<std::size_t>(tenant * kShards + type)];
   }
 
   osprey::Result<TaskId> submit(int tenant, WorkType type, const Sample& s,
@@ -1069,7 +1019,6 @@ struct ShardedDeployment {
     if (id.ok()) {
       owner[id.value()] = Owner{tenant, type};
       submitted_at[id.value()] = now_s();
-      queued_of(tenant, type).insert(id.value());
       ledger.submitted(id.value(), s, payload.size());
     }
     return id;
@@ -1179,8 +1128,6 @@ Report run_sharded_tenants(const Options& options) {
   double pump_s = 0.0;
   std::vector<TaskId> pending;  // reported, not yet picked up
   std::unordered_map<TaskId, double> reported_at;
-  std::uint64_t next_audit = sizes.audit_every;
-  int audit_target = 0;
 
   auto pickup = [&] {
     if (pending.empty()) return;
@@ -1193,11 +1140,11 @@ Report run_sharded_tenants(const Options& options) {
     if (!done.ok()) return;
     for (TaskId id : done.value()) {
       ledger.picked(id, report);
-      m.cycle.add(m.slice(t_end), t_end - dep->submitted_at[id]);
-      m.lag.add(m.slice(t_end), t_end - reported_at[id]);
+      m.cycle.add(t_end - dep->submitted_at[id]);
+      m.lag.add(t_end - reported_at[id]);
       reported_at.erase(id);
       dep->submitted_at.erase(id);
-      m.completed(t_end);
+      m.completed();
     }
     std::unordered_set<TaskId> got(done.value().begin(), done.value().end());
     std::vector<TaskId> left;
@@ -1234,8 +1181,6 @@ Report run_sharded_tenants(const Options& options) {
       report.op(claimed.ok() && !claimed.value().empty(), "claim");
       if (!claimed.ok()) break;
       for (const eqsql::TaskHandle& h : claimed.value()) {
-        const ShardedDeployment::Owner o = dep->owner[h.eq_task_id];
-        dep->queued_of(o.tenant, o.type).erase(h.eq_task_id);
         const std::string result = runner(h.payload);
         ledger.reported(result.size());
         window_user_bytes += result.size();
@@ -1268,35 +1213,6 @@ Report run_sharded_tenants(const Options& options) {
         }
       }
     }
-    if (m.tasks >= next_audit) {
-      next_audit += sizes.audit_every;
-      // Reprioritize one (tenant, shard) backlog per audit, in rotation,
-      // through that shard's leader (the router has no batch update).
-      const int tenant = audit_target % kTenantCount;
-      const WorkType shard = static_cast<WorkType>((audit_target / kTenantCount) % kShards);
-      ++audit_target;
-      std::vector<TaskId> local;
-      for (TaskId id : dep->queued_of(tenant, shard)) {
-        local.push_back(osprey::shard::local_task_id(id));
-      }
-      std::sort(local.begin(), local.end());
-      auto leader = cluster.group(shard).leader()->connect();
-      report.op(leader.ok(), "leader connect");
-      if (leader.ok() && !local.empty()) {
-        const double t0 = now_s();
-        auto n = [&] {
-          ScopedSpan span("eqsql.update_priority");
-          return leader.value()->update_priorities(local, inputs.ranks(local.size()));
-        }();
-        m.reprioritize.add(m.slice(t0), now_s() - t0);
-        report.op(n.ok() && n.value() == local.size(), "update_priorities");
-      }
-    }
-    // The router has no task_record; read through the owning shard's leader.
-    read_records(1, inputs, ledger, m, report, [&](TaskId id) {
-      return leaders[osprey::shard::shard_of_task(id)]->task_record(
-          osprey::shard::local_task_id(id));
-    });
   }
   m.stop();
   pickup();
